@@ -135,8 +135,9 @@ DEFAULT_MODULE_LAYERS: dict[str, frozenset[str]] = {
     # fsck reads the NETMARK schema through the ORDBMS and the node-type
     # vocabulary; it must not touch composition, the store facade or the
     # query tier — a checker that imported what it checks derived state
-    # *through* would be checking itself.
-    "store.fsck": frozenset({"ordbms", "sgml", "store.schema"}),
+    # *through* would be checking itself.  ``store.traversal`` supplies
+    # the lift columns' oracle walk, which fsck runs over its own heap.
+    "store.fsck": frozenset({"ordbms", "sgml", "store.schema", "store.traversal"}),
     # The analyzer's own dataflow stack is layered the same way the
     # durability stack is: the CFG builder is pure AST lowering, the
     # fixpoint engine sees only graphs, and the call-graph indexer sees

@@ -18,7 +18,9 @@ Operator inventory (leaf → root):
     The upward traversal: heading hits lift to their CONTEXT *ancestor*
     (context search), content hits to their *governing* context
     (content search, which also accumulates INTENSE score boosts and
-    collects document-level hits that precede every context).
+    collects document-level hits that precede every context).  Both
+    read the hit row's stored lift columns (no walk) and fetch the
+    distinct lifted contexts in one batch.
 ``Sort``
     Stable (document, node) ordering of lifted context rows.
 ``DocFilter`` / ``FormatFilter``
@@ -176,19 +178,6 @@ class PlanContext:
         heading = self.accessor.context_title(context_row)
         text = heading + " " + self.accessor.section_text(context_row)
         return text_satisfies(text, spec)
-
-    def is_emphasized(self, row: Row) -> bool:
-        """True when a text row sits inside INTENSE (emphasis) markup."""
-        current = row
-        while True:
-            parent = self.accessor.parent(current)
-            if parent is None:
-                return False
-            if parent["NODETYPE"] == int(NodeType.INTENSE):
-                return True
-            if parent["NODETYPE"] == int(NodeType.CONTEXT):
-                return False
-            current = parent
 
 
 @dataclass
@@ -410,12 +399,9 @@ class ContextLift(PlanNode):
         accessor = self.ctx.accessor
         confirmed: set[Any] = set()
         for source, phrase in self.pairs:
-            hits = list(source.rows())
-            accessor.prefetch_ancestors([hit.row for hit in hits])
-            for candidate in hits:
-                context = accessor.context_ancestor(candidate.row)
-                if context is None:
-                    continue
+            lifted = dict.fromkeys(hit.row["ANCESTORROWID"] for hit in source.rows())
+            lifted.pop(None, None)  # body text: no heading above it
+            for context in accessor.nodes(list(lifted)):
                 rowid = context[ROWID_PSEUDO]
                 if rowid in confirmed:
                     continue
@@ -439,26 +425,19 @@ class GoverningLift(PlanNode):
     name = "governing-lift"
 
     def _produce(self) -> Iterator[Candidate]:
-        accessor = self.ctx.accessor
-        contexts: dict[Any, Row] = {}
         boosts: dict[Any, float] = {}
         doc_level: dict[int, Row] = {}
-        hits = list(self.children[0].rows())
-        accessor.prefetch_ancestors([hit.row for hit in hits])
-        for candidate in hits:
-            context = accessor.governing_context(candidate.row)
-            if context is None:
-                doc_level.setdefault(candidate.doc_id, candidate.row)
+        for candidate in self.children[0].rows():
+            row = candidate.row
+            key = row["GOVERNINGROWID"]
+            if key is None:
+                doc_level.setdefault(candidate.doc_id, row)
                 continue
-            key = context[ROWID_PSEUDO]
-            contexts.setdefault(key, context)
-            if self.ctx.is_emphasized(candidate.row):
-                boosts[key] = boosts.get(key, 0.0) + 0.5
-        ordered = sorted(
-            contexts.values(), key=lambda row: (row["DOC_ID"], row["NODEID"])
-        )
-        for row in ordered:
-            score = 1.0 + boosts.get(row[ROWID_PSEUDO], 0.0)
+            boosts[key] = boosts.get(key, 0.0) + 0.5 * row["EMPHASIZED"]
+        contexts = self.ctx.accessor.nodes(list(boosts))
+        contexts.sort(key=lambda row: (row["DOC_ID"], row["NODEID"]))
+        for row in contexts:
+            score = 1.0 + boosts[row[ROWID_PSEUDO]]
             yield Candidate("section", row["DOC_ID"], row, score=score)
         for doc_id in sorted(doc_level):
             yield Candidate("document", doc_id, doc_level[doc_id])

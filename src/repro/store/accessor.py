@@ -9,10 +9,12 @@ the same rows again and again while walking overlapping sections.  A
 * **batching** — rowid lists (index postings, child sets, subtree
   frontiers) are pulled through :meth:`~repro.ordbms.table.Table.fetch_many`
   in one call instead of N;
-* **memoization** — node rows, child sets, governing contexts, section
-  scopes and titles are computed once per accessor and reused across
-  every operator of a query plan (and across the lazy
+* **memoization** — node rows, child sets, section scopes, titles and
+  section texts are computed once per accessor and reused across every
+  operator of a query plan (and across the lazy
   :class:`~repro.query.results.SectionMatch` resolutions that follow);
+* **stored lifts** — the upward lifts read the decomposer's lift
+  columns; the walk itself is :mod:`repro.store.traversal`'s oracle;
 * **invalidation** — every cache is guarded by the XML table's
   write-generation counter; any insert/update/delete/restore moves the
   counter and the next read through the accessor drops all cached state
@@ -28,7 +30,7 @@ the same rows again and again while walking overlapping sections.  A
   against one consistent generation while ingest runs concurrently.
 * **shared lifts** — constructed with a
   :class:`~repro.store.liftcache.LiftCache` (cache-enabled query
-  engines pass the store's), the five structural memos additionally
+  engines pass the store's), the three downward memos additionally
   read through the cross-query pool, so a lift one query computed is a
   hit for the next.  The pool is keyed by the *same* write-generation
   counter that guards the private memos (live mode) or by the pinned
@@ -38,7 +40,7 @@ the same rows again and again while walking overlapping sections.  A
 
 Accessors are cheap to construct; the query engine makes one per query,
 and the legacy :mod:`repro.store.traversal` functions make an ephemeral
-one per call so every caller shares a single traversal implementation.
+one per call.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ from repro.store.schema import XML_TABLE
 
 Row = dict[str, Any]
 
-#: Cache-miss sentinel (``None`` is a legal memoized value).
-_MISS: Any = object()
+_TEXT = int(NodeType.TEXT)
 
 
 @dataclass
@@ -104,8 +105,6 @@ class NodeAccessor:
         )
         self._rows: dict[RowId, Row] = {}
         self._children: dict[int, tuple[RowId, ...]] = {}
-        self._governing: dict[RowId, RowId | None] = {}
-        self._ancestor: dict[RowId, RowId | None] = {}
         self._scopes: dict[RowId, tuple[RowId, ...]] = {}
         self._titles: dict[RowId, str] = {}
         self._texts: dict[RowId, str] = {}
@@ -122,8 +121,6 @@ class NodeAccessor:
             self.stats.invalidations += 1
             self._rows.clear()
             self._children.clear()
-            self._governing.clear()
-            self._ancestor.clear()
             self._scopes.clear()
             self._titles.clear()
             self._texts.clear()
@@ -188,54 +185,22 @@ class NodeAccessor:
         self._rows[rowid] = row
         return row
 
-    def _fetch_batch(self, rowids: list[RowId]) -> list[Row]:
-        """One batched fetch, through the pin when one is set."""
-        if self.snapshot is not None:
-            return self.table.visible_many(rowids, self.snapshot.lsn)
-        return self.database.fetch_many(XML_TABLE, rowids)
-
     def nodes(self, rowids: Sequence[RowId]) -> list[Row]:
-        """Rows for ``rowids`` in order; missing ones come in ONE batch."""
+        """Rows for ``rowids`` in order; missing ones come in ONE batch
+        (through the pin when one is set)."""
         self._sync()
         missing = [rowid for rowid in rowids if rowid not in self._rows]
         if missing:
-            fetched = self._fetch_batch(missing)
+            if self.snapshot is not None:
+                fetched = self.table.visible_many(missing, self.snapshot.lsn)
+            else:
+                fetched = self.database.fetch_many(XML_TABLE, missing)
             self.stats.batch_fetches += 1
             self.stats.rows_fetched += len(fetched)
             for row in fetched:
                 self._rows[row[ROWID_PSEUDO]] = row
         self.stats.cache_hits += len(rowids) - len(missing)
         return [self._rows[rowid] for rowid in rowids]
-
-    def prefetch_ancestors(self, rows: Sequence[Row]) -> None:
-        """Warm the cache with every proper ancestor of ``rows``.
-
-        One batched fetch per tree *level* instead of one point fetch per
-        parent hop: the lifts call this before walking a whole candidate
-        set upward, so the subsequent per-row walks run entirely against
-        cached rows.  Purely a cache warmer — results are unaffected.
-        """
-        self._sync()
-        frontier = {
-            row["PARENTROWID"]
-            for row in rows
-            if row["PARENTROWID"] is not None
-        }
-        while frontier:
-            missing = [
-                rowid for rowid in frontier if rowid not in self._rows
-            ]
-            if missing:
-                fetched = self._fetch_batch(missing)
-                self.stats.batch_fetches += 1
-                self.stats.rows_fetched += len(fetched)
-                for row in fetched:
-                    self._rows[row[ROWID_PSEUDO]] = row
-            frontier = {
-                self._rows[rowid]["PARENTROWID"]
-                for rowid in frontier
-                if self._rows[rowid]["PARENTROWID"] is not None
-            }
 
     # -- single hops ---------------------------------------------------------
 
@@ -257,34 +222,43 @@ class NodeAccessor:
 
     def children(self, row: Row) -> list[Row]:
         """Direct children in document order — one batched fetch."""
+        if row["NODETYPE"] == _TEXT:
+            return []  # character data is a leaf by construction
+        return self._child_sets([row["NODEID"]])[0]
+
+    def _child_sets(self, node_ids: Sequence[int]) -> list[list[Row]]:
+        """Children of each node id, in document order: one
+        ``PARENTNODEID`` probe per node not yet memoized, then ONE batched
+        fetch for every uncached child row — a tree level per table call."""
         self._sync()
-        node_id = row["NODEID"]
-        cached = self._children.get(node_id)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return [self._rows[rowid] for rowid in cached]
-        self.stats.child_lookups += 1
+        found = {
+            node_id: [self._rows[rowid] for rowid in self._children[node_id]]
+            for node_id in node_ids if node_id in self._children
+        }
+        pending = [node_id for node_id in node_ids if node_id not in found]
+        self.stats.cache_hits += len(node_ids) - len(pending)
+        if pending:
+            self.stats.child_lookups += len(pending)
+            for node_id, child_rows in zip(pending, self._probe_children(pending)):
+                child_rows.sort(key=lambda child: child["ORDINAL"])
+                self._rows.update((child[ROWID_PSEUDO], child) for child in child_rows)
+                self._children[node_id] = tuple(child[ROWID_PSEUDO] for child in child_rows)
+                found[node_id] = child_rows
+        return [found[node_id] for node_id in node_ids]
+
+    def _probe_children(self, node_ids: list[int]) -> list[list[Row]]:
+        """Unordered child rows of each node id, through the pin if set."""
         if self.snapshot is not None:
-            child_rows = self.table.snapshot_search(
-                "PARENTNODEID", node_id, self.snapshot.lsn
-            )
-        else:
-            index = self.table.index_on("PARENTNODEID")
-            if index is not None:
-                child_rows = self.nodes(index.search(node_id))
-            else:  # schema always creates the index; scan is the safety net
-                child_rows = [
-                    child
-                    for child in self.table.scan()
-                    if child["PARENTNODEID"] == node_id
-                ]
-        child_rows.sort(key=lambda child: child["ORDINAL"])
-        for child in child_rows:
-            self._rows[child[ROWID_PSEUDO]] = child
-        self._children[node_id] = tuple(
-            child[ROWID_PSEUDO] for child in child_rows
-        )
-        return child_rows
+            return [
+                self.table.snapshot_search("PARENTNODEID", node_id, self.snapshot.lsn)
+                for node_id in node_ids
+            ]
+        index = self.table.index_on("PARENTNODEID")
+        if index is None:  # the schema creates it; lookup scans as a safety net
+            return [self.table.lookup("PARENTNODEID", node_id) for node_id in node_ids]
+        postings = [index.search(node_id) for node_id in node_ids]
+        self.nodes([rowid for posting in postings for rowid in posting])
+        return [[self._rows[rowid] for rowid in posting] for posting in postings]
 
     # -- generation-aware probes (MVCC) -----------------------------------------
 
@@ -344,83 +318,34 @@ class NodeAccessor:
     def is_text(row: Row) -> bool:
         return row["NODETYPE"] == int(NodeType.TEXT)
 
-    # -- traversal (paper §2.1.4), memoized ------------------------------------
-
-    def context_ancestor(self, row: Row) -> Row | None:
-        """Nearest *proper ancestor* CONTEXT element (else None)."""
-        self._sync()
-        rowid = row[ROWID_PSEUDO]
-        memo = self._ancestor.get(rowid, _MISS)
-        if memo is not _MISS:
-            self.stats.cache_hits += 1
-            return None if memo is None else self.node(memo)
-        shared = self._lift_get(row, "ancestor", rowid)
-        if shared is not _SHARED_MISS:
-            self._ancestor[rowid] = shared
-            return None if shared is None else self.node(shared)
-        current = row
-        found: Row | None = None
-        while True:
-            parent = self.parent(current)
-            if parent is None:
-                break
-            if self.is_context(parent):
-                found = parent
-                break
-            current = parent
-        memo = None if found is None else found[ROWID_PSEUDO]
-        self._ancestor[rowid] = memo
-        self._lift_put(row, "ancestor", rowid, memo)
-        return found
-
     def governing_context(self, row: Row) -> Row | None:
-        """Nearest enclosing/preceding CONTEXT for any node row.
+        """Nearest enclosing/preceding CONTEXT (None for front matter) —
+        the decomposer's stored lift, not the §2.1.4 walk."""
+        rowid = row["GOVERNINGROWID"]
+        return None if rowid is None else self.node(rowid)
 
-        Walk up parent links; at each level, an enclosing CONTEXT wins,
-        else the latest *preceding* CONTEXT sibling does.  None for
-        front matter preceding every context.
-        """
-        self._sync()
-        rowid = row[ROWID_PSEUDO]
-        memo = self._governing.get(rowid, _MISS)
-        if memo is not _MISS:
-            self.stats.cache_hits += 1
-            return None if memo is None else self.node(memo)
-        shared = self._lift_get(row, "governing", rowid)
-        if shared is not _SHARED_MISS:
-            self._governing[rowid] = shared
-            return None if shared is None else self.node(shared)
-        current = row
-        found: Row | None = None
-        while True:
-            parent = self.parent(current)
-            if parent is None:
-                break
-            if self.is_context(parent):
-                found = parent
-                break
-            best: Row | None = None
-            for sibling in self.children(parent):
-                if sibling["ORDINAL"] >= current["ORDINAL"]:
-                    break
-                if self.is_context(sibling):
-                    best = sibling
-            if best is not None:
-                found = best
-                break
-            current = parent
-        memo = None if found is None else found[ROWID_PSEUDO]
-        self._governing[rowid] = memo
-        self._lift_put(row, "governing", rowid, memo)
-        return found
+    # -- downward walks, memoized ----------------------------------------------
 
     def subtree(self, row: Row) -> list[Row]:
-        """All descendant rows in document order (children batched)."""
-        result: list[Row] = []
-        for child in self.children(row):
-            result.append(child)
-            result.extend(self.subtree(child))
-        return result
+        """All descendant rows in document order."""
+        return self._forest(self.children(row))
+
+    def _forest(self, roots: list[Row]) -> list[Row]:
+        """``roots`` and their descendants in document order, expanded a
+        level at a time: one batched fetch per level, however wide."""
+        kids: dict[int, list[Row]] = {}
+        level = [row["NODEID"] for row in roots if row["NODETYPE"] != _TEXT]
+        while level:
+            sets = self._child_sets(level)
+            kids.update(zip(level, sets))
+            level = [c["NODEID"] for rows in sets for c in rows if c["NODETYPE"] != _TEXT]
+        ordered: list[Row] = []
+        stack = list(reversed(roots))
+        while stack:
+            node = stack.pop()
+            ordered.append(node)
+            stack.extend(reversed(kids.get(node["NODEID"], ())))
+        return ordered
 
     def section_scope(self, context_row: Row) -> list[Row]:
         """Rows of the section governed by ``context_row``.
@@ -442,25 +367,20 @@ class NodeAccessor:
             # fetch path, so snapshot pinning still applies.
             self._scopes[rowid] = shared
             return self.nodes(list(shared))
-        scope: list[Row] = []
+        if context_row["PARENTNODEID"] is not None:
+            # Warm the siblings in one batch; the caller's row is trusted, not re-read.
+            self._rows.setdefault(rowid, context_row)
+            self._child_sets([context_row["PARENTNODEID"]])
+        siblings: list[Row] = []
         sibling = self.next_sibling(context_row)
-        while sibling is not None:
-            if self.is_context(sibling):
-                break
-            scope.append(sibling)
-            scope.extend(self.subtree(sibling))
+        while sibling is not None and not self.is_context(sibling):
+            siblings.append(sibling)
             sibling = self.next_sibling(sibling)
+        scope = self._forest(siblings)
         rowids = tuple(scope_row[ROWID_PSEUDO] for scope_row in scope)
         self._scopes[rowid] = rowids
         self._lift_put(context_row, "scope", rowid, rowids)
         return scope
-
-    def scope_rowids(self, context_row: Row) -> set[RowId]:
-        """Physical rowids of a section scope (containment tests)."""
-        return {
-            scope_row[ROWID_PSEUDO]
-            for scope_row in self.section_scope(context_row)
-        }
 
     def section_text(self, context_row: Row) -> str:
         """Concatenated TEXT data of the scope — the "content portion"."""

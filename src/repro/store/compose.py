@@ -82,10 +82,7 @@ def compose_section(
     accessor = accessor or NodeAccessor(database)
     section = Element("section", synthetic=True)
     section.append(compose_node(database, context_row, accessor))
-    sibling = accessor.next_sibling(context_row)
-    while sibling is not None:
-        if sibling["NODETYPE"] == int(NodeType.CONTEXT):
-            break
-        section.append(compose_node(database, sibling, accessor))
-        sibling = accessor.next_sibling(sibling)
+    for row in accessor.section_scope(context_row):
+        if row["PARENTROWID"] == context_row["PARENTROWID"]:  # a sibling
+            section.append(compose_node(database, row, accessor))
     return section

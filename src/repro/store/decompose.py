@@ -11,6 +11,8 @@ ROWID can only be known after the next sibling is inserted, so sibling
 links are patched with in-place updates as the walk proceeds.  The result
 is the traversal structure the paper exploits: O(1) hops up (PARENTROWID)
 and across (SIBLINGID).
+The derived lift columns (:mod:`repro.store.schema`) point only at rows
+inserted earlier in the walk, so each row is complete at insert time.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.sgml.dom import Document, Element, Node, Text
 from repro.sgml.nodetypes import NodeType
 from repro.store.schema import (
     DOC_TABLE,
+    LIFT_COLUMNS,
     XML_TABLE,
     encode_attributes,
     encode_metadata,
@@ -71,7 +74,7 @@ class Decomposer:
                     "METADATA": encode_metadata(document.metadata),
                 },
             )
-            root_rowid, count = self._insert_subtree(
+            root_rowid, count, _ = self._insert_subtree(
                 document.root,
                 doc_id=doc_id,
                 parent_rowid=None,
@@ -89,50 +92,53 @@ class Decomposer:
         parent_rowid: RowId | None,
         parent_nodeid: int | None,
         ordinal: int,
-    ) -> tuple[RowId, int]:
+        lifts: tuple[RowId | None, RowId | None, int] = (None, None, 0),
+    ) -> tuple[RowId, int, NodeType]:
+        """Insert ``node``'s subtree; ``lifts`` is the node's own
+        ``(GOVERNINGROWID, ANCESTORROWID, EMPHASIZED)``."""
         database = self._database
         node_id = self._next_node_id
         self._next_node_id += 1
         node_type = self._config.classify(node)
-        if isinstance(node, Text):
-            values = {
-                "NODEID": node_id,
-                "DOC_ID": doc_id,
-                "PARENTROWID": parent_rowid,
-                "PARENTNODEID": parent_nodeid,
-                "NODETYPE": int(node_type),
-                "NODENAME": None,
-                "NODEDATA": node.data,
-                "ORDINAL": ordinal,
-                "ATTRS": None,
-            }
-            rowid = database.insert(XML_TABLE, values)
-            return rowid, 1
-
-        assert isinstance(node, Element)
+        governing, ancestor, emphasized = lifts
+        is_text = isinstance(node, Text)
         values = {
             "NODEID": node_id,
             "DOC_ID": doc_id,
             "PARENTROWID": parent_rowid,
             "PARENTNODEID": parent_nodeid,
             "NODETYPE": int(node_type),
-            "NODENAME": node.tag,
-            "NODEDATA": None,
+            "NODENAME": None if is_text else node.tag,
+            "NODEDATA": node.data if is_text else None,
             "ORDINAL": ordinal,
-            "ATTRS": encode_attributes(node.attributes),
+            "ATTRS": None if is_text else encode_attributes(node.attributes),
+            **dict(zip(LIFT_COLUMNS, lifts)),
         }
         rowid = database.insert(XML_TABLE, values)
+        if is_text:
+            return rowid, 1, node_type
+
+        assert isinstance(node, Element)
+        # Children's lifts: an enclosing CONTEXT wins, else the latest CONTEXT sibling.
+        is_context = node_type == NodeType.CONTEXT
+        if is_context:
+            governing, ancestor, emphasized = rowid, rowid, 0
+        elif node_type == NodeType.INTENSE:
+            emphasized = 1
         count = 1
         previous_child_rowid: RowId | None = None
         for child_ordinal, child in enumerate(node.children):
-            child_rowid, child_count = self._insert_subtree(
+            child_rowid, child_count, child_type = self._insert_subtree(
                 child,
                 doc_id=doc_id,
                 parent_rowid=rowid,
                 parent_nodeid=node_id,
                 ordinal=child_ordinal,
+                lifts=(governing, ancestor, emphasized),
             )
             count += child_count
+            if child_type == NodeType.CONTEXT and not is_context:
+                governing = child_rowid
             if previous_child_rowid is not None:
                 # Patch the previous sibling's forward link now that its
                 # successor's physical address is known.
@@ -140,7 +146,7 @@ class Decomposer:
                     XML_TABLE, previous_child_rowid, {"SIBLINGID": child_rowid}
                 )
             previous_child_rowid = child_rowid
-        return rowid, count
+        return rowid, count, node_type
 
 
 def classify_counts(

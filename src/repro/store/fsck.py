@@ -16,14 +16,15 @@ enforce those, so this module does, after the fact:
 * DOC↔XML referential integrity both ways (no orphaned nodes, no empty
   documents);
 * derived state agrees with the rows: every B+tree and text index on
-  DOC/XML matches a fresh rebuild from the heap.
+  DOC/XML matches a fresh rebuild from the heap, and every node's lift
+  columns match the upward walk (:mod:`repro.store.traversal`).
 
 Violations found in the data are *reported*, never raised — fsck's job
 is to describe damage (:class:`FsckReport`), and crashes are reserved
 for misuse (:class:`~repro.errors.FsckError`, e.g. a database without
 the NETMARK schema).  :func:`repair_store` rebuilds the derived subset
-of that state — indexes, sibling chains, ``PARENTNODEID`` — and leaves
-genuinely lost data (dangling parents, orphans) to be reported.
+of that state — indexes, sibling chains, ``PARENTNODEID``, lifts — and
+leaves genuinely lost data (dangling parents, orphans) to be reported.
 
 Command line::
 
@@ -35,12 +36,14 @@ recovers the store from ``<wal-base-path>.wal``/``.ckpt`` and checks it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any
 
 from repro.errors import FsckError
 from repro.ordbms import ROWID_PSEUDO, Database, RowId, Table, TextIndex
 from repro.sgml.nodetypes import NodeType
-from repro.store.schema import DOC_TABLE, XML_TABLE
+from repro.store.schema import DOC_TABLE, LIFT_COLUMNS, XML_TABLE
+from repro.store.traversal import reference_lifts
 
 Row = dict[str, Any]
 
@@ -62,11 +65,16 @@ CODES = (
     "sibling-chain",  # repairable
     "btree-drift",  # repairable
     "text-index-drift",  # repairable
+    "derived-lift-drift",  # repairable
 )
+
+#: Damage that makes the upward walk meaningless (or endless).
+_PARENT_DAMAGE = frozenset({"dangling-parent", "foreign-parent", "parent-cycle"})
 
 REPAIRABLE = frozenset(
     {"parent-id-mismatch", "sibling-chain", "btree-drift",
-     "text-index-drift", "dangling-sibling", "foreign-sibling"}
+     "text-index-drift", "dangling-sibling", "foreign-sibling",
+     "derived-lift-drift"}
 )
 
 
@@ -156,6 +164,12 @@ def check_store(database: Database) -> FsckReport:
     _check_parent_chains(report, nodes, by_rowid)
     _check_sibling_chains(report, nodes, by_rowid)
     report.indexes_checked = _check_indexes(report, (doc_table, xml_table))
+    sound = not report.codes() & _PARENT_DAMAGE
+    for row, expected in _lift_drift(nodes, by_rowid) if sound else ():
+        report.violations.append(Violation(
+            "derived-lift-drift", XML_TABLE, str(row[ROWID_PSEUDO]),
+            row["DOC_ID"], f"{LIFT_COLUMNS} should be {expected}",
+        ))
     return report
 
 
@@ -166,8 +180,8 @@ def repair_store(database: Database) -> FsckReport:
     row their ``PARENTROWID`` addresses, sibling chains (re-derived from
     ``(ORDINAL, NODEID)`` order per parent, which also clears dangling
     or foreign ``SIBLINGID`` values), and every index (rebuilt from the
-    heap).  Structural losses — dangling parents, orphaned nodes,
-    missing roots — cannot be re-derived and remain in the report.
+    heap), then the lift columns.  Structural losses — dangling parents,
+    orphaned nodes, missing roots — cannot be re-derived and remain.
     """
     doc_table, xml_table = _netmark_tables(database)
     actions = 0
@@ -192,6 +206,12 @@ def repair_store(database: Database) -> FsckReport:
     doc_table.rebuild_indexes()
     xml_table.rebuild_indexes()
     actions += 2
+    drift = "derived-lift-drift" in check_store(database).codes()
+    for row, expected in _lift_drift(nodes, by_rowid) if drift else ():
+        database.update(
+            XML_TABLE, row[ROWID_PSEUDO], dict(zip(LIFT_COLUMNS, expected))
+        )
+        actions += 1
     report = check_store(database)
     report.repaired = actions
     return report
@@ -331,6 +351,26 @@ def _check_parent_chains(
         resolved.update(path)
 
 
+def _lift_drift(
+    nodes: list[Row], by_rowid: dict[RowId, Row]
+) -> list[tuple[Row, tuple[Any, ...]]]:
+    """Rows whose lift columns disagree with the walk over fsck's own
+    heap view (not the indexes), paired with the walked values."""
+    children = {
+        parent_rowid: [row for row, _ in chain]
+        for _, parent_rowid, chain in _family_chains(nodes)
+    }
+    tree = SimpleNamespace(
+        parent=lambda row: by_rowid.get(row["PARENTROWID"]),
+        children=lambda row: children.get(row[ROWID_PSEUDO], []),
+    )
+    walked = ((row, reference_lifts(tree, row)) for row in nodes)
+    return [
+        (row, lifts) for row, lifts in walked
+        if tuple(row[column] for column in LIFT_COLUMNS) != lifts
+    ]
+
+
 def _family_chains(
     nodes: list[Row],
 ) -> list[tuple[int, RowId | None, list[tuple[Row, RowId | None]]]]:
@@ -451,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--repair", action="store_true",
-        help="rebuild derived state (indexes, sibling chains, parent ids)",
+        help="rebuild derived state (indexes, sibling chains, parent ids, lift columns)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text"

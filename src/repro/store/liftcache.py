@@ -1,13 +1,14 @@
-"""The shared structural-lift memo cache (PR 10 tentpole, part 2).
+"""The shared structural-lift memo cache.
 
-A :class:`~repro.store.accessor.NodeAccessor` memoizes its structural
-walks — governing contexts, context ancestors, section scopes, titles
-and texts — but only for its own lifetime, which is one query.  Hot
-workloads re-run the same lifts for every query: the governing-lift walk
-over a popular section is recomputed from scratch each time even though
+A :class:`~repro.store.accessor.NodeAccessor` memoizes its downward
+walks — section scopes (``"scope"``), heading titles (``"title"``) and
+section texts (``"text"``) — but only for its own lifetime, which is one
+query.  Hot workloads re-run the same walks for every query: the scope
+of a popular section is recomputed from scratch each time even though
 nothing changed.  A :class:`LiftCache` is the cross-query fix — one
 instance lives on the :class:`~repro.store.xmlstore.XmlStore` and every
-cache-enabled accessor reads through it.
+cache-enabled accessor reads through it.  (Upward lifts are stored
+columns, one read each; they need no cache.)
 
 Correctness model (see DESIGN.md §16):
 

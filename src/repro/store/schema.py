@@ -18,7 +18,12 @@ Two tables store *every* document of *any* type — the schema-less claim:
     ``NODEDATA`` — character data (NULL for element nodes),
     ``ORDINAL`` — position among siblings (keeps reconstruction
     deterministic; implicit in Oracle's physical order, explicit here),
-    ``ATTRS`` — serialised element attributes.
+    ``ATTRS`` — serialised element attributes,
+    ``GOVERNINGROWID`` / ``ANCESTORROWID`` / ``EMPHASIZED`` — lifts
+    stored at decompose time (path-at-storage): the governing CONTEXT,
+    the nearest ancestor CONTEXT, 1 inside INTENSE markup.  Queries read
+    them instead of walking up (:mod:`repro.store.traversal`); they add
+    no per-doctype DDL.
 
 Indexes created with the schema: B+trees on ``XML.DOC_ID``,
 ``XML.NODENAME`` and ``XML.NODETYPE`` plus the text index on
@@ -42,6 +47,9 @@ from repro.ordbms import (
 
 DOC_TABLE = "DOC"
 XML_TABLE = "XML"
+
+#: The derived lift columns (see module docstring).
+LIFT_COLUMNS = ("GOVERNINGROWID", "ANCESTORROWID", "EMPHASIZED")
 
 
 def doc_schema() -> TableSchema:
@@ -75,6 +83,9 @@ def xml_schema() -> TableSchema:
             Column("NODEDATA", CLOB),
             Column("ORDINAL", INTEGER, nullable=False, default=0),
             Column("ATTRS", CLOB),
+            Column("GOVERNINGROWID", ROWID),
+            Column("ANCESTORROWID", ROWID),
+            Column("EMPHASIZED", INTEGER, nullable=False, default=0),
         ),
         primary_key="NODEID",
         foreign_keys=(ForeignKey("DOC_ID", DOC_TABLE, "DOC_ID"),),

@@ -9,13 +9,13 @@ The paper's evaluation strategy for context/content search:
     traversing back down the tree structure via the sibling node retrieves
     the corresponding content text."
 
-The traversal algorithms live in :class:`repro.store.accessor.NodeAccessor`
-— memoized and batch-fetching, which is what the query plan pipeline
-rides on.  This module keeps the original free-function surface for
-callers that hold only a :class:`~repro.ordbms.database.Database` (tests,
-benchmarks, one-off walks): each call delegates to a fresh accessor, so
-the semantics are identical by construction, just without cross-call
-caching.  Hot paths should hold a ``NodeAccessor`` instead.
+The upward half runs only here, as the oracle that fsck and the tests
+hold the decomposer's stored lift columns to (the read path reads the
+columns).  The ``walk_*`` functions navigate any ``tree`` with
+``parent(row)`` and ``children(row)`` — a
+:class:`~repro.store.accessor.NodeAccessor` or fsck's heap view.  The
+other free functions serve callers holding only a
+:class:`~repro.ordbms.database.Database`, one fresh accessor per call.
 """
 
 from __future__ import annotations
@@ -23,10 +23,64 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.ordbms import Database, RowId
+from repro.ordbms.table import ROWID_PSEUDO
+from repro.sgml.nodetypes import NodeType
 from repro.store.accessor import NodeAccessor
 from repro.store.schema import XML_TABLE
 
 Row = dict[str, Any]
+
+_CONTEXT = int(NodeType.CONTEXT)
+_INTENSE = int(NodeType.INTENSE)
+
+
+def _nearest_above(tree: Any, row: Row, node_types: set[int]) -> Row | None:
+    parent = tree.parent(row)
+    while parent is not None and parent["NODETYPE"] not in node_types:
+        parent = tree.parent(parent)
+    return parent
+
+
+def walk_context_ancestor(tree: Any, row: Row) -> Row | None:
+    """Nearest *proper ancestor* CONTEXT element (else None)."""
+    return _nearest_above(tree, row, {_CONTEXT})
+
+
+def walk_emphasized(tree: Any, row: Row) -> bool:
+    """True when ``row`` sits inside INTENSE markup below its context."""
+    found = _nearest_above(tree, row, {_CONTEXT, _INTENSE})
+    return found is not None and found["NODETYPE"] == _INTENSE
+
+
+def walk_governing_context(tree: Any, row: Row) -> Row | None:
+    """Nearest enclosing/preceding CONTEXT for any node row.
+
+    Walk up parent links; at each level, an enclosing CONTEXT wins, else
+    the latest *preceding* CONTEXT sibling does.  None for front matter
+    preceding every context.
+    """
+    current = row
+    while (parent := tree.parent(current)) is not None:
+        if parent["NODETYPE"] == _CONTEXT:
+            return parent
+        preceding = [
+            sibling for sibling in tree.children(parent)
+            if sibling["ORDINAL"] < current["ORDINAL"]
+            and sibling["NODETYPE"] == _CONTEXT
+        ]
+        if preceding:
+            return preceding[-1]
+        current = parent
+    return None
+
+
+def reference_lifts(tree: Any, row: Row) -> tuple[RowId | None, RowId | None, int]:
+    """The walked ``(GOVERNINGROWID, ANCESTORROWID, EMPHASIZED)`` of a row."""
+    lifted = (walk_governing_context(tree, row), walk_context_ancestor(tree, row))
+    return (
+        *(None if found is None else found[ROWID_PSEUDO] for found in lifted),
+        int(walk_emphasized(tree, row)),
+    )
 
 
 def fetch_node(database: Database, rowid: RowId) -> Row:
@@ -63,14 +117,10 @@ def is_text(row: Row) -> bool:
 
 
 def governing_context(database: Database, row: Row) -> Row | None:
-    """Nearest enclosing/preceding CONTEXT element for any node row.
-
-    Walk up parent links; at each level, if the current node's element
-    chain contains a CONTEXT ancestor, that wins; otherwise scan the
-    preceding siblings (via ordinals) for the latest CONTEXT element.
-    Returns None for front matter that precedes every context.
+    """Nearest enclosing/preceding CONTEXT element for any node row,
+    found by the paper's upward walk (see :func:`walk_governing_context`).
     """
-    return NodeAccessor(database).governing_context(row)
+    return walk_governing_context(NodeAccessor(database), row)
 
 
 def section_scope(database: Database, context_row: Row) -> list[Row]:
@@ -96,7 +146,7 @@ def context_title(database: Database, context_row: Row) -> str:
 
 def scope_rowids(database: Database, context_row: Row) -> set[RowId]:
     """The physical rowids of a section scope (for containment tests)."""
-    return NodeAccessor(database).scope_rowids(context_row)
+    return {row[ROWID_PSEUDO] for row in section_scope(database, context_row)}
 
 
 def iter_contexts(database: Database, doc_id: int) -> Iterator[Row]:

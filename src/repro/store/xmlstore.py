@@ -72,7 +72,7 @@ class XmlStore:
             lsn=self.database.mvcc.lsn,
         )
         #: With ``materialize_paths`` every ingest pre-computes the new
-        #: document's context paths (titles, scopes, governing lifts)
+        #: document's context paths (titles, scopes, section texts)
         #: straight into :attr:`lift_cache`, so the first query over a
         #: fresh document already runs against warm lifts.  Off by
         #: default: it trades ingest latency for first-query latency,
@@ -249,11 +249,10 @@ class XmlStore:
         """Pre-compute a fresh document's context paths into the pool.
 
         One pass over the new document's CONTEXT rows warms the title,
-        scope, section-text and governing/ancestor lifts that context
-        and content queries will ask for, so the index probes that
-        consult them hit instead of walking.  Runs through a shared
-        accessor, so admission (generation tokens) applies exactly as it
-        would for a query — a racing write simply drops the warmup.
+        scope and section-text entries that context and content queries
+        will ask for.  Runs through a shared accessor, so admission
+        (generation tokens) applies exactly as it would for a query — a
+        racing write simply drops the warmup.
         """
         accessor = self.new_accessor(lifts=self.lift_cache)
         for context_row in self._xml_table.lookup("DOC_ID", doc_id):
@@ -261,10 +260,6 @@ class XmlStore:
                 continue
             accessor.context_title(context_row)
             accessor.section_text(context_row)
-            for scope_row in accessor.section_scope(context_row):
-                if NodeAccessor.is_text(scope_row):
-                    accessor.governing_context(scope_row)
-                    accessor.context_ancestor(scope_row)
 
     # -- snapshots (MVCC) -----------------------------------------------------
 

@@ -148,3 +148,54 @@ class TestExplain:
             document.root.children[0].attributes["rows"]
         )
         assert root_rows == len(result.matches) == 3
+
+
+class TestStoredLiftCounters:
+    """Lifts read the decomposer's columns: no upward walk at query time."""
+
+    @pytest.fixture(scope="class")
+    def fig6_store(self) -> XmlStore:
+        from repro.workloads import CorpusSpec, generate_corpus
+
+        store = XmlStore()
+        for generated in generate_corpus(CorpusSpec(documents=40, seed=200)):
+            store.store_text(generated.text, generated.name)
+        return store
+
+    @pytest.mark.parametrize(
+        "query_string", ["Content=shuttle", "Context=Budget"]
+    )
+    def test_fig6_queries_run_with_zero_parent_hops(
+        self, fig6_store, query_string
+    ):
+        from repro.query.engine import phrase_in
+        from repro.store.traversal import (
+            walk_context_ancestor,
+            walk_governing_context,
+        )
+
+        engine = QueryEngine(fig6_store)
+        ctx, root, matches = drain(engine, query_string)
+        for match in matches:
+            match.context, match.content  # lazy resolution included
+        assert matches
+        assert ctx.accessor.stats.parent_hops == 0
+        # Same sections the paper's walk lifts the probe's hits to.
+        walk = (
+            walk_governing_context if query_string.startswith("Content")
+            else walk_context_ancestor
+        )
+        reference = fig6_store.new_accessor()
+        index = fig6_store.xml_table.text_index_on("NODEDATA")
+        term = find_operator(root, "index-probe").key
+        lifted = set()
+        for hit in reference.nodes(sorted(index.lookup_phrase(term))):
+            context = walk(reference, hit)
+            if context is not None:
+                lifted.add(context["ROWID_"])
+        if walk is walk_context_ancestor:
+            lifted = {
+                rowid for rowid in lifted
+                if phrase_in(term, reference.context_title(reference.node(rowid)))
+            }
+        assert {m.rowid for m in matches if m.rowid is not None} == lifted

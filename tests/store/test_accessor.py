@@ -3,9 +3,11 @@
 import pytest
 
 from repro.ordbms.table import ROWID_PSEUDO
+from repro.query import QueryEngine, parse_query
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.parser import parse_xml
 from repro.store import XmlStore
+from repro.store.traversal import walk_context_ancestor, walk_governing_context
 
 
 @pytest.fixture
@@ -93,7 +95,9 @@ class TestMemoization:
         assert accessor.stats.sibling_hops == 0
         assert accessor.stats.cache_hits == 1
 
-    def test_governing_context_memoized_per_row(self, store_with_doc):
+
+class TestStoredLifts:
+    def test_governing_context_reads_the_stored_column(self, store_with_doc):
         store, _ = store_with_doc
         accessor = store.new_accessor()
         text_row = next(
@@ -103,12 +107,25 @@ class TestMemoization:
         )
         governing = accessor.governing_context(text_row)
         assert accessor.context_title(governing) == "Beta"
-        hops_first = accessor.stats.parent_hops
-        assert hops_first > 0
-        accessor.stats.reset()
-        again = accessor.governing_context(text_row)
-        assert again[ROWID_PSEUDO] == governing[ROWID_PSEUDO]
+        # The answer is the paper's upward walk's answer ...
+        reference = walk_governing_context(store.new_accessor(), text_row)
+        assert governing[ROWID_PSEUDO] == reference[ROWID_PSEUDO]
+        # ... read from the row instead of walked: no parent hop at all.
         assert accessor.stats.parent_hops == 0
+        assert accessor.stats.child_lookups == 1  # the title, not the lift
+
+    def test_context_lift_reads_the_stored_column(self, store_with_doc):
+        store, _ = store_with_doc
+        engine = QueryEngine(store)
+        ctx, root = engine.compile(parse_query("Context=Beta"))
+        [match] = list(root.rows())
+        assert match.context == "Beta"
+        heading_text = next(
+            row for row in store.xml_table.scan() if row["NODEDATA"] == "Beta"
+        )
+        reference = walk_context_ancestor(store.new_accessor(), heading_text)
+        assert match.rowid == reference[ROWID_PSEUDO]
+        assert ctx.accessor.stats.parent_hops == 0
 
 
 class TestInvalidation:

@@ -134,6 +134,12 @@ class TestCorruptionClasses:
         elif code == "text-index-drift":
             text_index = store.xml_table.text_index_on("NODEDATA")
             text_index.add(child[ROWID_PSEUDO], "ghostterm never stored")
+        elif code == "derived-lift-drift":
+            # A stored lift the reference walk disagrees with.
+            database.update(
+                XML_TABLE, child[ROWID_PSEUDO],
+                {"GOVERNINGROWID": child[ROWID_PSEUDO]},
+            )
         else:
             raise AssertionError(f"unknown corruption class {code}")
 
@@ -155,6 +161,7 @@ class TestCorruptionClasses:
             "sibling-chain",
             "btree-drift",
             "text-index-drift",
+            "derived-lift-drift",
         ],
     )
     def test_detected(self, loaded, code):
@@ -173,6 +180,28 @@ class TestCorruptionClasses:
         assert report.ok, (
             f"after repairing {code}: {sorted(report.codes())}"
         )
+
+    def test_lift_drift_reported_then_repaired(self, loaded):
+        """One corrupted lift column: reported at its row, repaired back
+        to the walked value, and the next check is clean."""
+        text_row = next(
+            row for row in xml_rows(loaded)
+            if row["GOVERNINGROWID"] is not None and row["EMPHASIZED"] == 0
+        )
+        rowid = text_row[ROWID_PSEUDO]
+        loaded.database.update(
+            XML_TABLE, rowid,
+            {"ANCESTORROWID": text_row["GOVERNINGROWID"], "EMPHASIZED": 1},
+        )
+        report = check_store(loaded.database)
+        assert report.codes() == {"derived-lift-drift"}
+        assert [v.rowid for v in report.violations] == [str(rowid)]
+        repaired = repair_store(loaded.database)
+        assert repaired.ok
+        restored = loaded.xml_table.fetch(rowid)
+        assert restored["ANCESTORROWID"] == text_row["ANCESTORROWID"]
+        assert restored["EMPHASIZED"] == 0
+        assert check_store(loaded.database).ok
 
     def test_structural_loss_survives_repair(self, loaded):
         """Genuinely lost data is still reported after a repair pass."""
