@@ -24,12 +24,16 @@ from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.query.language import format_query, parse_query
 from repro.query.results import ResultSet
+from repro.server.http import NetmarkHttpApi
+from repro.server.vfs import VirtualFileSystem
+from repro.server.webdav import WebDavServer
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore
 from repro.workloads import CorpusSpec, generate_corpus
 
 SIZES = (50, 150, 400)
 HEADING = "Budget"
+CACHED_STAMP = ' cached="true"'
 
 
 def _loaded_store(size: int) -> tuple[XmlStore, int]:
@@ -217,12 +221,16 @@ def test_report_limit_pushdown_fetches(benchmark, stores):
 def test_report_result_cache(benchmark, stores):
     """Hot-query replay through the generation-keyed result cache.
 
-    The cache's acceptance claim (PR 10): a hot fig6 context search at
-    the largest corpus must replay at >= 5x the uncached engine's
+    The cache's acceptance claim: a hot fig6 context search at the
+    largest corpus must replay at >= 5x the uncached engine's
     throughput, byte-identically, and a hot hit must touch the physical
-    tables **zero** times.  The 5x floor is hard-asserted here and
-    banked in the artifact as ``ratchet_speedup_floor`` — the perf gate
-    treats it as a monotone floor, so the win cannot quietly regress.
+    tables **zero** times.  The same pair through ``NetmarkHttpApi``
+    (``Cache=0`` against a warm hit, response bytes out) must replay at
+    >= 50x: a hit joins pre-rendered ``<result>`` fragments instead of
+    rebuilding and re-serializing the tree.  Both floors are
+    hard-asserted here and banked in the artifact as ``ratchet_`` keys —
+    the perf gate treats them as monotone floors, so the wins cannot
+    quietly regress.
     """
 
     def report():
@@ -247,6 +255,21 @@ def test_report_result_cache(benchmark, stores):
             hit = cached_engine.execute(query)
         assert hit.cached
         speedup = uncached_time / cached_time
+        api = NetmarkHttpApi(
+            store, WebDavServer(VirtualFileSystem()), cache=QueryCache()
+        )
+        http_uncached_time, bare = _timed(
+            lambda: api.get(f"/search?{query}&Cache=0")
+        )
+        api.get(f"/search?{query}")  # the priming miss
+        http_cached_time, warm = _timed(
+            lambda: api.get(f"/search?{query}"), repeats=9
+        )
+        assert CACHED_STAMP in warm.body
+        http_identical = warm.body.replace(CACHED_STAMP, "", 1) == (
+            bare.body.replace("&amp;Cache=0", "", 1)
+        )
+        http_speedup = http_uncached_time / http_cached_time
         print_table(
             f"FIG6: result cache, Context={HEADING} ({SIZES[-1]} docs)",
             ["path", "best run", "QPS", "table calls"],
@@ -255,6 +278,10 @@ def test_report_result_cache(benchmark, stores):
                  f"{1 / uncached_time:.0f}", "-"],
                 ["cached replay", f"{cached_time * 1e6:.1f}us",
                  f"{1 / cached_time:.0f}", hot.calls],
+                ["HTTP Cache=0", f"{http_uncached_time * 1000:.2f}ms",
+                 f"{1 / http_uncached_time:.0f}", "-"],
+                ["HTTP cached hit", f"{http_cached_time * 1e6:.1f}us",
+                 f"{1 / http_cached_time:.0f}", "-"],
             ],
         )
         write_artifact(
@@ -269,11 +296,22 @@ def test_report_result_cache(benchmark, stores):
                 "ratchet_speedup_floor": 5,
                 "hot_hit_table_calls": hot.calls,
                 "byte_identical": identical,
+                "http_uncached_queries_per_second": round(
+                    1 / http_uncached_time, 1
+                ),
+                "http_cached_queries_per_second": round(
+                    1 / http_cached_time, 1
+                ),
+                "http_speedup": round(http_speedup, 1),
+                "ratchet_http_speedup_floor": 50,
+                "http_byte_identical": http_identical,
             },
         )
         assert identical  # the cache may never change the answer
+        assert http_identical
         assert hot.calls == 0  # a hot hit is pure memory
         assert speedup >= 5  # the banked acceptance floor
+        assert http_speedup >= 50
     benchmark.pedantic(report, rounds=1, iterations=1)
 
 

@@ -11,7 +11,11 @@ context-search workload:
   a composition root swaps in a real one) must cost ~0%.
 
 Timings are best-of-``REPEATS`` over ``QUERIES_PER_ROUND`` queries, so a
-single noisy round cannot manufacture (or hide) an overhead.
+single noisy round cannot manufacture (or hide) an overhead.  The three
+configurations take turns round by round, in rotating order, and a
+round is one pass over the query diet (~0.2 s), so a drift in the
+machine's speed lands on all of them alike instead of on whichever
+configuration ran during the slow spell.
 """
 
 import time
@@ -27,8 +31,8 @@ from repro.workloads import CorpusSpec, generate_corpus
 
 DOCUMENTS = 400
 HEADING = "Budget"
-REPEATS = 15
-QUERIES_PER_ROUND = 10
+REPEATS = 150
+QUERIES_PER_ROUND = 1
 
 #: The mixed Fig 6 query diet: pure context, pure content, combined.
 QUERIES = (
@@ -47,12 +51,23 @@ def store():
     return loaded
 
 
-def _best_round_seconds(run_round) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        run_round()
-        best = min(best, time.perf_counter() - start)
+def _best_interleaved_seconds(configurations) -> dict[str, float]:
+    """Best round time per configuration, the rounds interleaved.
+
+    ``configurations`` maps a name to ``(enabled, run_round)``; each of
+    the ``REPEATS`` passes runs every configuration once, starting at a
+    different one each pass.
+    """
+    names = list(configurations)
+    best = dict.fromkeys(names, float("inf"))
+    for repeat in range(REPEATS):
+        for offset in range(len(names)):
+            name = names[(repeat + offset) % len(names)]
+            enabled, run_round = configurations[name]
+            obs.set_enabled(enabled)
+            start = time.perf_counter()
+            run_round()
+            best[name] = min(best[name], time.perf_counter() - start)
     return best
 
 
@@ -77,19 +92,24 @@ def test_report_obs_overhead(benchmark, store):
                     with NULL_TRACER.span("request", query=query):
                         engine.execute(query)
 
-        previous_registry = obs.push_registry()
+        previous_registry = obs.get_registry()
+        obs.push_registry()
         previous_enabled = obs.set_enabled(False)
         try:
-            off_seconds = _best_round_seconds(plain_round)
-            noop_tracer_seconds = _best_round_seconds(traced_round)
-            obs.set_enabled(True)
-            obs.push_registry()
-            on_seconds = _best_round_seconds(plain_round)
+            # Only the "on" rounds record into the pushed registry.
+            best = _best_interleaved_seconds({
+                "off": (False, plain_round),
+                "noop": (False, traced_round),
+                "on": (True, plain_round),
+            })
             series_recorded = len(obs.snapshot())
         finally:
             obs.set_enabled(previous_enabled)
             obs.set_registry(previous_registry)
 
+        off_seconds, noop_tracer_seconds, on_seconds = (
+            best["off"], best["noop"], best["on"]
+        )
         metrics_pct = _overhead_pct(off_seconds, on_seconds)
         tracer_pct = _overhead_pct(off_seconds, noop_tracer_seconds)
         queries_per_round = QUERIES_PER_ROUND * len(QUERIES)

@@ -45,12 +45,17 @@ from repro.errors import QueryError
 from repro.ordbms import Snapshot
 from repro.query.ast import XdbQuery
 from repro.query.results import SectionMatch
+from repro.sgml.dom import Element
 
 __all__ = ["QueryCache"]
 
 #: Per-match bookkeeping overhead used by the byte estimate (object
 #: headers, key share); the estimate bounds memory, it is not an audit.
 _MATCH_OVERHEAD = 128
+
+#: Retained bytes per node of a cached section tree, measured with
+#: ``tracemalloc`` over fig6 answers (``tests/query/test_cache``).
+_NODE_BYTES = 96
 
 #: Default entry/byte bounds: enough for a busy server's hot set while
 #: keeping worst-case memory obvious in a code review.
@@ -161,8 +166,10 @@ class QueryCache:
         and the sweep runs only on misses).
         """
         frozen = tuple(matches)
+        # Strings (the fragment resolved here) plus the section tree.
         size = sum(
-            len(match.context) + len(match.content) + _MATCH_OVERHEAD
+            len(match.context) + len(match.content) + len(match.fragment)
+            + _NODE_BYTES * _node_count(match.section) + _MATCH_OVERHEAD
             for match in frozen
         )
         evicted = 0
@@ -205,3 +212,7 @@ class QueryCache:
                 "entries": len(self._entries),
                 "bytes": self._bytes,
             }
+
+
+def _node_count(section: Element | None) -> int:
+    return 0 if section is None else sum(1 for _ in section.walk())

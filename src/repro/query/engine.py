@@ -81,7 +81,7 @@ def _eager_match(match: SectionMatch) -> SectionMatch:
     per-query accessor; the copy then carries plain values only.  The
     section Element may be shared across replays because
     ``ResultSet.to_xml`` clones section children before mutating
-    anything.
+    anything, and ``SectionMatch.fragment`` only reads it.
     """
     return SectionMatch(
         doc_id=match.doc_id,
@@ -197,10 +197,9 @@ class QueryEngine:
             # Only complete answers are cacheable, resolved eagerly —
             # the plan's accessor (and any snapshot pin) dies with this
             # request, so a cached match may not load anything lazily.
-            self.cache.store(
-                key, [_eager_match(match) for match in result.matches],
-                version,
-            )
+            # The caller gets the stored copies: one render per fragment.
+            result.matches = [_eager_match(match) for match in result.matches]
+            self.cache.store(key, result.matches, version)
         return result
 
     @staticmethod

@@ -28,10 +28,11 @@ write-generation guard keeps late resolution consistent with the store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Protocol, Sequence
 
 from repro.ordbms import RowId
-from repro.sgml.dom import Document, Element
+from repro.sgml.dom import Document, Element, Node
+from repro.sgml.serializer import serialize
 
 
 class SectionLoader(Protocol):
@@ -64,7 +65,7 @@ class SectionMatch:
 
     __slots__ = (
         "doc_id", "file_name", "source", "score", "rowid",
-        "_context", "_content", "_section", "_loader",
+        "_context", "_content", "_section", "_loader", "_fragment",
     )
 
     def __init__(
@@ -90,6 +91,7 @@ class SectionMatch:
         if section is _UNSET and loader is None:
             section = None
         self._section = section
+        self._fragment: str | None = None
 
     # -- lazy fields --------------------------------------------------------
 
@@ -113,6 +115,20 @@ class SectionMatch:
         if self._section is _UNSET:
             self._section = self._require_loader().section()
         return self._section  # type: ignore[return-value]
+
+    @property
+    def fragment(self) -> str:
+        """The ``<result>`` element as ``serialize(ResultSet.to_xml(),
+        indent=2)`` prints it, rendered once and without cloning."""
+        if self._fragment is None:
+            result = Element("result", {"doc": self.file_name, "source": self.source})
+            result.make_child("context").append_text(self.context)
+            if self.section is None:
+                result.make_child("content").append_text(self.content)
+            children = result.children + _body(self.section)
+            self._fragment = serialize(
+                result, indent=2, depth=1, children=children)
+        return self._fragment
 
     def _require_loader(self) -> SectionLoader:
         if self._loader is None:
@@ -266,8 +282,8 @@ class ResultSet:
             cached=self.cached,
         )
 
-    def to_xml(self) -> Document:
-        """Render the canonical ``<results>`` tree for XSLT composition."""
+    def _envelope(self) -> Element:
+        """The bare ``<results>`` root: query, partial flag, ``<partial>``."""
         root = Element("results", {"query": self.query_string})
         if self.partial or self.deadline_expired:
             root.attributes["partial"] = "true"
@@ -280,6 +296,22 @@ class ResultSet:
             for name in sorted(self.source_errors):
                 unreachable = envelope.make_child("unreachable", source=name)
                 unreachable.append_text(self.source_errors[name])
+        return root
+
+    def render(self, stamps: dict[str, str] | None = None,
+               trailer: Sequence[Element] = ()) -> str:
+        """``serialize(to_xml(), indent=2)`` with ``stamps`` (extra root
+        attributes) and ``trailer`` (elements after the last match)
+        applied, byte for byte, joined from the matches' fragments."""
+        root = self._envelope()
+        root.attributes.update(stamps or {})
+        fragments = [match.fragment for match in self.matches]
+        children = [*root.children, *fragments, *trailer]
+        return serialize(root, indent=2, children=children)
+
+    def to_xml(self) -> Document:
+        """Render the canonical ``<results>`` tree for XSLT composition."""
+        root = self._envelope()
         for match in self.matches:
             result = root.make_child(
                 "result",
@@ -292,11 +324,19 @@ class ResultSet:
                 # Clone the reconstructed content elements so downstream
                 # XSLT can see structure (e.g. INTENSE spans), not just
                 # text, and so rendering twice is safe.
-                for child in match.section.children:
-                    if isinstance(child, Element) and child.tag == "context":
-                        continue
+                for child in _body(match.section):
                     result.append(child.clone())
             else:
                 content = result.make_child("content")
                 content.append_text(match.content)
         return Document(root, name="results.xml")
+
+
+def _body(section: Element | None) -> list[Node]:
+    """A section's content nodes: all its children but the heading."""
+    if section is None:
+        return []
+    return [
+        child for child in section.children
+        if not (isinstance(child, Element) and child.tag == "context")
+    ]

@@ -60,6 +60,7 @@ from repro.query.ast import XdbQuery
 from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.query.language import format_query, parse_query
+from repro.query.results import ResultSet
 from repro.resilience.clock import LogicalClock
 from repro.resilience.deadline import Budget, TickSource
 from repro.server.overload import AdmissionController, degrade_query
@@ -139,6 +140,16 @@ def _span_element(span: Span) -> Element:
     for child in span.children:
         element.append(_span_element(child))
     return element
+
+
+def _compose(query: XdbQuery, results: ResultSet) -> ResultSet | Document:
+    """The tree a stylesheet needs, else ``results`` with every fragment
+    rendered (inside the caller's snapshot pin) so the body is a join."""
+    if query.stylesheet:
+        return results.to_xml()
+    for match in results:
+        match.fragment  # resolved once, kept on the match
+    return results
 
 
 @dataclass(frozen=True)
@@ -348,10 +359,15 @@ class NetmarkHttpApi:
             outcome = self._run_search(query, tracer, budget)
         if isinstance(outcome, HttpResponse):
             return outcome
-        if degraded:
-            outcome.root.attributes["degraded"] = "brownout"
-        for root_span in tracer.take_roots():
-            outcome.root.append(_trace_element(root_span))
+        trailer = [_trace_element(span) for span in tracer.take_roots()]
+        if isinstance(outcome, ResultSet):
+            # Transport-level stamps; the body below them is the same.
+            stamps = {"cached": "true"} if outcome.cached else {}
+            if degraded:
+                stamps["degraded"] = "brownout"
+            return HttpResponse(200, outcome.render(stamps, trailer))
+        for element in trailer:
+            outcome.root.append(element)
         return HttpResponse(200, serialize(outcome, indent=2))
 
     def _request_budget(
@@ -374,8 +390,10 @@ class NetmarkHttpApi:
 
     def _run_search(
         self, query: XdbQuery, tracer: Tracer, budget: Budget | None = None
-    ) -> HttpResponse | Document:
-        """Answer one search; a Document result still needs the envelope."""
+    ) -> HttpResponse | Document | ResultSet:
+        """Answer one search; the caller renders the body.  Without
+        ``xslt=`` (always so in brownout) the answer is a ResultSet; only
+        a stylesheet needs the tree (Fig 7 transforms a tree)."""
         if query.explain:
             # Explain=1: run the plan and return the annotated operator
             # tree instead of results (stylesheets do not apply to plans).
@@ -398,12 +416,12 @@ class NetmarkHttpApi:
                 results = self.router.execute(query, budget=budget)
                 span.annotate(matches=len(results))
             with tracer.span("compose"):
-                document = results.to_xml()
+                composed = _compose(query, results)
         else:
             # Pin one MVCC snapshot per request: plan execution AND the
-            # lazy match materialization inside ``to_xml`` read the same
-            # commit LSN, so a response is internally consistent even
-            # while the daemon ingests concurrently.
+            # lazy match materialization inside ``_compose`` read the
+            # same commit LSN, so a response is internally consistent
+            # even while the daemon ingests concurrently.
             with self.store.snapshot() as snapshot:
                 with tracer.span("execute", tier="local") as span:
                     results = self.engine.execute(
@@ -411,24 +429,22 @@ class NetmarkHttpApi:
                     )
                     span.annotate(matches=len(results))
                 with tracer.span("compose"):
-                    document = results.to_xml()
+                    composed = _compose(query, results)
+        if isinstance(composed, ResultSet):
+            return composed
         if results.cached:
             # Transport-level stamp only: ResultSet.to_xml never renders
             # the flag, so the body below this attribute stays
             # byte-identical to an uncached answer.
-            document.root.attributes["cached"] = "true"
-        if query.stylesheet:
-            stylesheet_path = f"{STYLESHEET_FOLDER}/{query.stylesheet}"
-            response = self.dav.get(stylesheet_path)
-            if not response.ok:
-                return HttpResponse(
-                    404, f"stylesheet not found: {query.stylesheet}"
-                )
-            with tracer.span("xslt", stylesheet=query.stylesheet):
-                document = transform(
-                    compile_stylesheet(response.body), document
-                )
-        return document
+            composed.root.attributes["cached"] = "true"
+        stylesheet_path = f"{STYLESHEET_FOLDER}/{query.stylesheet}"
+        response = self.dav.get(stylesheet_path)
+        if not response.ok:
+            return HttpResponse(
+                404, f"stylesheet not found: {query.stylesheet}"
+            )
+        with tracer.span("xslt", stylesheet=query.stylesheet):
+            return transform(compile_stylesheet(response.body), composed)
 
     def _document(self, raw_id: str) -> HttpResponse:
         try:

@@ -9,6 +9,8 @@ parser — a round-trip property the test suite checks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.sgml.dom import Document, Element, Node, Text
 
 
@@ -22,24 +24,33 @@ def escape_attribute(data: str) -> str:
     return escape_text(data).replace('"', "&quot;")
 
 
-def serialize(node: Node | Document, indent: int | None = None) -> str:
+def serialize(
+    node: Node | Document, indent: int | None = None, depth: int = 0,
+    children: Sequence[Node | str] | None = None,
+) -> str:
     """Serialise a node or document to XML text.
 
     ``indent=None`` produces compact output that preserves text exactly;
     an integer produces pretty-printed output with that many spaces per
     level (whitespace-only text nodes are dropped, so pretty mode is for
-    human display, not round-tripping).
+    human display, not round-tripping).  ``depth`` is the level ``node``
+    is printed at; ``children`` stands in for the element's own, and a
+    ``str`` among them is markup already serialized, written as is.
     """
     if isinstance(node, Document):
         node = node.root
     parts: list[str] = []
-    _serialize_node(node, parts, indent, 0)
+    _serialize_node(node, parts, indent, depth, children)
     return "".join(parts)
 
 
 def _serialize_node(
-    node: Node, parts: list[str], indent: int | None, depth: int
+    node: Node | str, parts: list[str], indent: int | None, depth: int,
+    children: Sequence[Node | str] | None = None,
 ) -> None:
+    if isinstance(node, str):
+        parts.append(node)
+        return
     pad = "" if indent is None else " " * (indent * depth)
     newline = "" if indent is None else "\n"
     if isinstance(node, Text):
@@ -56,17 +67,18 @@ def _serialize_node(
         f' {name}="{escape_attribute(value)}"'
         for name, value in node.attributes.items()
     )
-    if not node.children:
+    children = node.children if children is None else children
+    if not children:
         parts.append(f"{pad}<{node.tag}{attributes}/>{newline}")
         return
     # Compact form for elements holding a single text child keeps
     # pretty-printed context/content output readable.
-    only_text = all(isinstance(child, Text) for child in node.children)
+    only_text = all(isinstance(child, Text) for child in children)
     if indent is not None and only_text:
-        text = escape_text(node.text_content().strip())
+        text = escape_text("".join(child.data for child in children).strip())
         parts.append(f"{pad}<{node.tag}{attributes}>{text}</{node.tag}>{newline}")
         return
     parts.append(f"{pad}<{node.tag}{attributes}>{newline}")
-    for child in node.children:
+    for child in children:
         _serialize_node(child, parts, indent, depth + 1)
     parts.append(f"{pad}</{node.tag}>{newline}")

@@ -5,7 +5,9 @@ exactly as the uncached run would, and no reader — live or pinned — may
 ever be served an answer from a store state it cannot see.
 """
 
+import gc
 import threading
+import tracemalloc
 
 import pytest
 
@@ -15,6 +17,8 @@ from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.query.language import format_query, parse_query
 from repro.sgml.serializer import serialize
+from repro.store import XmlStore
+from repro.workloads import HEADINGS, CorpusSpec, generate_corpus
 
 QUERY = "Context=Budget"
 NEW_BUDGET_DOC = "# Late Filing\n\n## Budget\n\nEmergency budget line.\n"
@@ -154,6 +158,39 @@ class TestBounds:
         counters = engine.cache.snapshot_counters()
         assert counters["entries"] == 1  # at least one entry always kept
         assert counters["evictions"] >= 1
+
+    def test_byte_estimate_tracks_retained_memory(self):
+        """The estimate is within 2x of what the entries really hold.
+
+        Retained size = traced memory released when the cache (the
+        only owner of the eager matches, their section trees and
+        fragments) is dropped.
+        """
+        store = XmlStore()
+        for file in generate_corpus(CorpusSpec(documents=40, seed=200)):
+            store.store_text(file.text, file.name)
+        queries = [f"Context={heading}" for heading in HEADINGS] + [
+            "Content=shuttle", "Content=engine&limit=5",
+            "Context=Budget&Content=resource",
+        ]
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            engine = QueryEngine(store, cache=QueryCache(max_bytes=1 << 40))
+            for query in queries:
+                engine.execute(query).render()  # as the HTTP layer does
+            estimate = engine.cache.snapshot_counters()["bytes"]
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del engine
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert estimate > 0
+        assert estimate / 2 <= retained <= estimate * 2
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(QueryError):

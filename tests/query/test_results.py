@@ -1,5 +1,8 @@
 """Result model: ordering helpers, XML rendering, limits."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.query.results import ResultSet, SectionMatch
 from repro.sgml.dom import Element
 from repro.sgml.serializer import serialize
@@ -77,3 +80,85 @@ class TestToXml:
         results.add(match(source="llis"))
         xml = serialize(results.to_xml())
         assert 'source="llis"' in xml
+
+
+# -- render == serialize(to_xml()) --------------------------------------------
+
+_text = st.text(alphabet='ab &<>"\' \n\t', max_size=12)
+
+
+@st.composite
+def _sections(draw):
+    """A reconstructed ``<section>``: heading, then content nodes that may
+    hold INTENSE spans, nested elements and whitespace-only text."""
+    section = Element("section")
+    section.make_child("context").append_text(draw(_text))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["content", "blank", "intense", "empty"]))
+        if kind == "blank":
+            section.append_text(draw(st.sampled_from([" ", "\n  ", "\t"])))
+            continue
+        child = section.make_child("content" if kind != "empty" else "p")
+        if kind == "content":
+            child.append_text(draw(_text))
+        elif kind == "intense":
+            child.append_text(draw(_text))
+            child.make_child("intense").append_text(draw(_text))
+            child.append_text(draw(st.sampled_from(["", " ", "tail"])))
+    return section
+
+
+@st.composite
+def _result_sets(draw):
+    results = ResultSet(draw(_text))
+    for index in range(draw(st.integers(0, 4))):
+        results.add(SectionMatch(
+            doc_id=index,
+            file_name=draw(_text),
+            context=draw(_text),
+            content=draw(_text),
+            section=draw(st.none() | _sections()),
+            source=draw(st.sampled_from(["local", 'r&"<s>'])),
+        ))
+    results.partial = draw(st.booleans())
+    results.deadline_expired = draw(st.booleans())
+    if results.partial or results.deadline_expired:
+        results.source_errors = draw(
+            st.dictionaries(_text, _text, max_size=2)
+        )
+    return results
+
+
+def _trace() -> Element:
+    trace = Element("trace")
+    trace.make_child("span", name="request", start="0", ticks="4")
+    return trace
+
+
+class TestRender:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        results=_result_sets(),
+        cached=st.booleans(),
+        degraded=st.booleans(),
+        traced=st.booleans(),
+    )
+    def test_render_equals_serialized_tree(
+        self, results, cached, degraded, traced
+    ):
+        stamps = {}
+        if cached:
+            stamps["cached"] = "true"
+        if degraded:
+            stamps["degraded"] = "brownout"
+        trailer = [_trace()] if traced else []
+        document = results.to_xml()
+        document.root.attributes.update(stamps)
+        for element in trailer:
+            document.root.append(element.clone())
+        expected = serialize(document, indent=2)
+        assert results.render(stamps, trailer) == expected
+        assert results.render(stamps, trailer) == expected  # replayed
+
+    def test_empty_answer_self_closes(self):
+        assert ResultSet('a&"b').render() == '<results query="a&amp;&quot;b"/>\n'
